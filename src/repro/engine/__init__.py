@@ -6,12 +6,15 @@ conv2d forward/backward, matmul, batch-norm statistics, pooling — routes
 through the active :class:`~repro.engine.base.Backend`:
 
 - :class:`~repro.engine.numpy_backend.NumpyBackend` — the default;
-  bit-for-bit the original numerics, plus a shape-keyed
-  :class:`~repro.engine.arena.WorkspaceArena` that reuses im2col/col2im
-  scratch buffers across calls instead of reallocating.
+  im2col+GEMM conv (a direct tap loop for depthwise), held to the
+  rounding bound of each reduction against an einsum oracle in the
+  tests, plus a shape-keyed :class:`~repro.engine.arena.WorkspaceArena`
+  that reuses im2col/col2im scratch buffers across calls instead of
+  reallocating.
 - :class:`~repro.engine.threaded.ThreadedBackend` — shards the batch
-  dimension over a thread pool (numpy releases the GIL in BLAS/einsum)
-  with a deterministic weight-gradient reduction order.
+  dimension over a thread pool (numpy releases the GIL in BLAS GEMMs and
+  in its elementwise loops) with a deterministic weight-gradient
+  reduction order.
 - :class:`~repro.engine.instrument.InstrumentedBackend` — wraps either,
   counting calls, bytes allocated/reused, and per-kernel time for the
   native profiler.

@@ -1,19 +1,20 @@
 """Batch-sharded threaded backend.
 
-Numpy releases the GIL inside BLAS / einsum kernels, so sharding the
-batch dimension across a ``ThreadPoolExecutor`` gives real parallelism
-for the conv and matmul leaf ops that dominate the paper's edge-CPU
-latency breakdowns — without any native code.
+Numpy releases the GIL inside BLAS GEMMs and its elementwise loops on
+large arrays, so sharding the batch dimension across a
+``ThreadPoolExecutor`` gives real parallelism for the conv and matmul
+leaf ops that dominate the paper's edge-CPU latency breakdowns — without
+any native code.  Each shard runs NumpyBackend's own kernels.
 
 Determinism: shards cover contiguous, disjoint batch slices.  Outputs
 and input gradients are written into disjoint slices of a preallocated
 result (no reduction at all), and the weight gradient is reduced by
 summing per-shard partials **in shard-index order**, independent of
-thread completion order.  Results therefore match
-:class:`~repro.engine.numpy_backend.NumpyBackend` exactly for forward /
-input-grad paths and to floating-point reassociation (~1e-6 in float32)
-for the weight gradient — which is why the cross-backend gradcheck suite
-passes unchanged.
+thread completion order.  NumpyBackend's conv output and input gradient
+for one sample never depend on the other samples, so results match
+:class:`~repro.engine.numpy_backend.NumpyBackend` bit for bit on the
+forward / input-grad paths and to floating-point reassociation (~1e-6 in
+float32) for the weight gradient.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Convolution and pooling primitives with hand-written backward passes.
 
-Layout convention is NCHW throughout (matching PyTorch).  Convolution is
-a zero-copy strided im2col view plus an einsum contraction that handles
-standard, grouped, and depthwise convolution uniformly — the three
+Layout convention is NCHW throughout (matching PyTorch).  Convolution
+supports standard, grouped, and depthwise convolution — the three
 flavours needed by ResNet-18 / Wide-ResNet (groups=1), ResNeXt (grouped
-3x3), and MobileNetV2 (depthwise).
+3x3), and MobileNetV2 (depthwise).  The default backend computes the
+first two with im2col+GEMM and depthwise with a direct tap loop; the
+einsum contraction they are checked against lives in the test suite
+(see :mod:`repro.engine.numpy_backend` for the numerical contract).
 
 This module owns the autograd bookkeeping only; the actual kernels are
 dispatched to the active execution backend (:mod:`repro.engine`), which

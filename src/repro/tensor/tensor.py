@@ -67,6 +67,13 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 ArrayLike = Union["Tensor", np.ndarray, float, int]
 
 
+def _consumed(grad: np.ndarray) -> None:
+    """Backward closure of a node whose graph a backward pass has freed."""
+    raise RuntimeError(
+        "backward() through a graph that has already been freed: each "
+        "graph supports one backward pass; recompute the forward pass")
+
+
 class Tensor:
     """A numpy-backed autograd tensor.
 
@@ -79,7 +86,8 @@ class Tensor:
         tensor during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_grad_sink")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_grad_sink", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -128,7 +136,9 @@ class Tensor:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones (and must be omitted only for scalar
-        outputs, matching PyTorch's contract).
+        outputs, matching PyTorch's contract).  Every interior node the
+        pass consumes is freed, so the graph supports one backward pass:
+        a second one through it raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -168,6 +178,11 @@ class Tensor:
             # `grads` dict (so diamonds sum before propagating), we
             # temporarily intercept.
             node._run_backward(node_grad, grads)
+            # Free the consumed node now: its closure captures the node
+            # itself (a reference cycle) plus its parents and saved
+            # arrays, which would otherwise wait for the cyclic collector.
+            node._backward = _consumed
+            node._parents = ()
 
         # Any remaining buffered grads belong to leaves reached via
         # interception; flush them.

@@ -1,10 +1,12 @@
 """Gradcheck for grouped/depthwise convolution under every backend.
 
-The backend contract: the default NumpyBackend reproduces the seed
-numerics bit-for-bit, and the ThreadedBackend matches finite differences
-just as tightly (its only reassociation is the shard-ordered weight
+The backend contract: the default NumpyBackend (im2col+GEMM, and a tap
+loop for depthwise) matches finite differences, and so does the
+ThreadedBackend, whose forward output and input gradient are bit-identical
+to NumpyBackend's (its only reassociation is the shard-ordered weight
 gradient sum).  These checks run in float64 so the tolerance is the
-gradcheck default.
+gradcheck default; the kernels' bound against the einsum oracle is
+property-tested in ``test_conv_oracle.py``.
 """
 
 import numpy as np

@@ -160,3 +160,61 @@ class TestFunctionalGrads:
 
         with pytest.raises(AssertionError):
             gradcheck(wrong, [a])
+
+
+class TestGraphFreeing:
+    """backward() frees the graph it consumes instead of leaving cycles."""
+
+    @staticmethod
+    def bn_opt_step(rng):
+        """One BN-Opt (TENT) step's graph: conv-BN-relu-pool-linear."""
+        from repro import nn
+        from repro.adapt.base import configure_bn_only_grads
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1, bias=False), nn.BatchNorm2d(4),
+            nn.ReLU(), nn.GlobalAvgPool2d(), nn.Linear(4, 5))
+        model.train()
+        configure_bn_only_grads(model)
+        x = rng.standard_normal((6, 3, 5, 5)).astype(np.float32)
+        return model, F.entropy_loss(model(Tensor(x)))
+
+    @staticmethod
+    def interior_nodes(root):
+        seen, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._backward is None:
+                continue
+            seen[id(node)] = node
+            stack.extend(node._parents)
+        seen.pop(id(root))
+        return list(seen.values())
+
+    def test_intermediates_die_at_backward_without_gc(self, rng):
+        import gc
+        import weakref
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model, loss = self.bn_opt_step(rng)
+            refs = [weakref.ref(node) for node in self.interior_nodes(loss)]
+            assert len(refs) > 5
+            loss.backward()
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert all(p.grad is not None for p in model.parameters()
+                       if p.requires_grad)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_second_backward_raises(self, rng):
+        _, loss = self.bn_opt_step(rng)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already been freed"):
+            loss.backward()
+
+    def test_leaf_grads_still_accumulate_across_graphs(self, rng):
+        a = t64(rng, 3)
+        (a * 2.0).sum().backward()
+        (a * 3.0).sum().backward()
+        np.testing.assert_allclose(a.grad, np.full(3, 5.0))
