@@ -6,7 +6,7 @@ conv2d forward/backward, matmul, batch-norm statistics, pooling — routes
 through the active :class:`~repro.engine.base.Backend`:
 
 - :class:`~repro.engine.numpy_backend.NumpyBackend` — the default;
-  im2col+GEMM conv (a direct tap loop for depthwise), held to the
+  im2col+GEMM conv (flat-lane taps for depthwise), held to the
   rounding bound of each reduction against an einsum oracle in the
   tests, plus a shape-keyed :class:`~repro.engine.arena.WorkspaceArena`
   that reuses im2col/col2im scratch buffers across calls instead of

@@ -4,21 +4,35 @@ Convolution runs as im2col+GEMM for standard and grouped convs: the
 strided im2col view is copied once into ``(N, g, cig*kh*kw, Ho*Wo)``
 columns, and the forward pass, the input gradient (GEMM against the
 transposed weight, then col2im) and the weight gradient are batched
-``np.matmul`` calls over them.  Depthwise convs (one input and one output
-channel per group) skip the columns and run a kh*kw loop of strided
-multiply-adds.
+``np.matmul`` calls over them.  A 1x1 stride-1 conv's columns are its
+input, reshaped, and its input gradient needs no col2im.
+
+Depthwise convs (one input and one output channel per group) use a flat
+lane layout: each sample's padded planes are one row of ``C*Hp*Wp``
+floats, and tap ``(i, j)`` is one slice of it at offset ``i*Wp + j`` and
+step ``s`` (the column stride) times a per-lane row of channel weights.
+Output lane ``f`` reads input ``s*f + off``; a channel spans ``Hp*Wp/s``
+lanes (planes whose width is not a multiple of ``s`` get zero columns).
+Lanes in the row and plane gaps are computed and dropped.  Gap-lane
+rule: there the scale rows and the scattered output gradient are exact
+zeros, so the input gradient adds ``+0.0`` even for a non-finite weight
+and one channel's NaN or inf never reaches another.
 
 Numerics: the summation order is BLAS's (or the tap order), not an
 einsum contraction's.  ``tests/test_engine/test_conv_oracle.py`` keeps an
 einsum kernel as the oracle and holds every output and gradient to the
 worst-case rounding bound of its reduction length,
-``gamma_n * sum|terms|``, in float64 and float32.  Results are
+``gamma_n * sum|terms|``, in float64 and float32.  Depthwise forward and
+input gradient keep the tap order per element, so they are bit-identical
+to the tap loop in ``tests/test_engine/conv_oracle.py``.  Results are
 deterministic run to run, and the forward output and input gradient of
 one sample never depend on the rest of the batch (ThreadedBackend relies
-on this for bit-identity).
+on this for bit-identity).  Batch-norm statistics are two-pass, and each
+per-channel sum reduces contiguous rows, the batch first and then each
+plane (:func:`channel_sum`), never numpy's strided ``axis=(0, 2, 3)``.
 
 Short-lived workspaces (the im2col columns, the column gradient consumed
-by col2im, the padded-input copy, the depthwise product buffer) are drawn
+by col2im, the padded-input copy, the depthwise lane buffers) are drawn
 from the backend's :class:`~repro.engine.arena.WorkspaceArena` instead of
 being reallocated on every call.
 """
@@ -29,6 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.engine.arena import WorkspaceArena
 from repro.engine.base import Backend
 
 
@@ -57,22 +72,74 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kh: int, kw: int,
     return dx
 
 
-def _is_depthwise(c: int, co: int, groups: int) -> bool:
-    """One input and one output channel per group (MobileNetV2's 3x3s)."""
-    return groups > 1 and groups == c == co
+def channel_sum(x: np.ndarray) -> np.ndarray:
+    """Per-channel sum of (N, C, H, W): over N rows of C*H*W, then C of H*W."""
+    n, c = x.shape[:2]
+    return x.reshape(n, -1).sum(axis=0).reshape(c, -1).sum(axis=1)
 
 
-def _taps(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
-    """Yield ``(i, j, window)``: the padded-input slice each tap reads."""
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, (slice(None), slice(None),
-                         slice(i, i + sh * (ho - 1) + 1, sh),
-                         slice(j, j + sw * (wo - 1) + 1, sw))
+class _Depthwise:
+    """One depthwise conv (groups == C == Co > 1) on the flat lane layout."""
+
+    def __init__(self, xp: np.ndarray, weight: np.ndarray, sh: int, sw: int):
+        (n, self.c, hp, self.wp), (kh, kw) = xp.shape, weight.shape[-2:]
+        wq = -(-self.wp // sw) * sw  # plane width, a multiple of sw
+        self.planes = xp if wq == self.wp else np.pad(
+            xp, ((0, 0), (0, 0), (0, 0), (0, wq - self.wp)))
+        self.rows, self.kernel = self.planes.reshape(n, -1), weight.shape
+        self.ho, self.wo = (hp - kh) // sh + 1, (self.wp - kw) // sw + 1
+        self.pitch, self.row = hp * wq // sw, sh * wq // sw
+        # lanes end at the last valid output, so every tap slice fits the row
+        self.count = (self.c - 1) * self.pitch + (self.ho - 1) * self.row + self.wo
+        self.taps = [slice(off, off + sw * (self.count - 1) + 1, sw)
+                     for off in (i * wq + j for i in range(kh) for j in range(kw))]
+        self.scales = np.zeros((kh * kw, self.count), weight.dtype)
+        self.valid(self.scales)[...] = weight.reshape(self.c, -1).T[:, :, None, None]
+
+    def valid(self, a: np.ndarray) -> np.ndarray:
+        """The ``(..., C, Ho, Wo)`` view of lane array ``a``'s valid lanes."""
+        s = a.strides[-1]
+        return np.lib.stride_tricks.as_strided(
+            a, a.shape[:-1] + (self.c, self.ho, self.wo),
+            a.strides[:-1] + (self.pitch * s, self.row * s, s))
+
+    def forward(self, arena: WorkspaceArena) -> np.ndarray:
+        """Sum over taps of a shifted input-row slice times its scale row."""
+        acc = arena.acquire((len(self.rows), self.count),
+                            np.result_type(self.rows, self.scales))
+        tmp = arena.acquire(acc.shape, acc.dtype)
+        for t, taps in enumerate(self.taps):
+            np.multiply(self.rows[:, taps], self.scales[t], out=tmp if t else acc)
+            if t:
+                acc += tmp
+        out = self.valid(acc).copy()
+        arena.release(acc)
+        arena.release(tmp)
+        return out
+
+    def backward(self, arena: WorkspaceArena, grad: np.ndarray, need_dx: bool,
+                 need_dw: bool) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        # gap lanes of g and of the scale rows are 0, so they add 0 to dx
+        g = arena.acquire_zeros((len(self.rows), self.count), grad.dtype)
+        self.valid(g)[...] = grad
+        tmp = arena.acquire(g.shape, grad.dtype)
+        dxq = np.zeros(self.planes.shape, grad.dtype) if need_dx else None
+        dw = np.empty((self.c, len(self.taps)), grad.dtype)
+        for t, taps in enumerate(self.taps):
+            if need_dw:
+                np.multiply(g, self.rows[:, taps], out=tmp)
+                dw[:, t] = self.valid(tmp.sum(axis=0)).sum(axis=(1, 2))
+            if need_dx:
+                np.multiply(g, self.scales[t], out=tmp)
+                dxq.reshape(len(g), -1)[:, taps] += tmp
+        arena.release(g)
+        arena.release(tmp)
+        return (dxq[..., :self.wp] if need_dx else None,
+                dw.reshape(self.kernel) if need_dw else None)
 
 
 class NumpyBackend(Backend):
-    """The default backend: im2col+GEMM and depthwise tap-loop kernels."""
+    """The default backend: im2col+GEMM and flat-lane depthwise kernels."""
 
     name = "numpy"
 
@@ -81,8 +148,13 @@ class NumpyBackend(Backend):
                  groups: int) -> np.ndarray:
         """im2col columns ``(N, g, cig*kh*kw, Ho*Wo)`` in an arena buffer.
 
-        The caller releases the buffer once its GEMMs have consumed it.
+        The caller releases the buffer once its GEMMs have consumed it.  A
+        1x1 stride-1 conv's columns are ``xp`` itself, reshaped (a view the
+        arena refuses on release).
         """
+        if kh == kw == sh == sw == 1:
+            n, c, h, w = xp.shape
+            return xp.reshape(n, groups, c // groups, h * w)
         view = im2col_view(xp, kh, kw, sh, sw)
         n, c, _, _, ho, wo = view.shape
         cols = self.arena.acquire(
@@ -97,8 +169,8 @@ class NumpyBackend(Backend):
         co, cig, kh, kw = weight.shape
         ho = (h - kh) // sh + 1
         wo = (w - kw) // sw + 1
-        if _is_depthwise(c, co, groups):
-            return self._depthwise_forward(xp, weight, sh, sw, ho, wo)
+        if groups == c == co > 1:  # depthwise
+            return _Depthwise(xp, weight, sh, sw).forward(self.arena)
         cols = self._columns(xp, kh, kw, sh, sw, groups)
         # (g, cog, K) @ (N, g, K, Ho*Wo) -> (N, g, cog, Ho*Wo): already NCHW
         out = np.matmul(weight.reshape(groups, co // groups, -1), cols)
@@ -114,9 +186,9 @@ class NumpyBackend(Backend):
         n, c = xp.shape[:2]
         co, cig, kh, kw = weight.shape
         ho, wo = grad.shape[-2:]
-        if _is_depthwise(c, co, groups):
-            return self._depthwise_backward(grad, xp, weight, sh, sw,
-                                            need_input_grad, need_weight_grad)
+        if groups == c == co > 1:  # depthwise
+            return _Depthwise(xp, weight, sh, sw).backward(
+                self.arena, grad, need_input_grad, need_weight_grad)
         cog = co // groups
         gg = grad.reshape(n, groups, cog, ho * wo)
         wg = weight.reshape(groups, cog, cig * kh * kw)
@@ -127,7 +199,9 @@ class NumpyBackend(Backend):
             dw = np.matmul(gg, cols.transpose(0, 1, 3, 2)).sum(axis=0)
             dw = dw.reshape(co, cig, kh, kw)
             self.arena.release(cols)
-        if need_input_grad:
+        if need_input_grad and kh == kw == sh == sw == 1:
+            dxp = np.matmul(wg.transpose(0, 2, 1), gg).reshape(xp.shape)
+        elif need_input_grad:
             dcols = self.arena.acquire((n, groups, cig * kh * kw, ho * wo),
                                        grad.dtype)
             np.matmul(wg.transpose(0, 2, 1), gg, out=dcols)
@@ -136,54 +210,19 @@ class NumpyBackend(Backend):
             self.arena.release(dcols)
         return dxp, dw
 
-    def _depthwise_forward(self, xp: np.ndarray, weight: np.ndarray,
-                           sh: int, sw: int, ho: int, wo: int) -> np.ndarray:
-        """Sum over taps of ``weight[:, 0, i, j]`` times the tap's window."""
-        n, c = xp.shape[:2]
-        kh, kw = weight.shape[-2:]
-        out = np.empty((n, c, ho, wo), dtype=np.result_type(xp, weight))
-        tmp = self.arena.acquire(out.shape, out.dtype)
-        for i, j, window in _taps(kh, kw, sh, sw, ho, wo):
-            scale = weight[:, 0, i, j].reshape(1, c, 1, 1)
-            if i == 0 and j == 0:
-                np.multiply(xp[window], scale, out=out)
-            else:
-                np.multiply(xp[window], scale, out=tmp)
-                out += tmp
-        self.arena.release(tmp)
-        return out
-
-    def _depthwise_backward(self, grad: np.ndarray, xp: np.ndarray,
-                            weight: np.ndarray, sh: int, sw: int,
-                            need_input_grad: bool, need_weight_grad: bool
-                            ) -> Tuple[Optional[np.ndarray],
-                                       Optional[np.ndarray]]:
-        c = xp.shape[1]
-        kh, kw = weight.shape[-2:]
-        ho, wo = grad.shape[-2:]
-        dxp = np.zeros(xp.shape, dtype=grad.dtype) if need_input_grad else None
-        dw = (np.empty(weight.shape, dtype=grad.dtype)
-              if need_weight_grad else None)
-        tmp = self.arena.acquire(grad.shape, grad.dtype)
-        for i, j, window in _taps(kh, kw, sh, sw, ho, wo):
-            if dw is not None:
-                np.multiply(grad, xp[window], out=tmp)
-                dw[:, 0, i, j] = tmp.sum(axis=(0, 2, 3))
-            if dxp is not None:
-                np.multiply(grad, weight[:, 0, i, j].reshape(1, c, 1, 1),
-                            out=tmp)
-                dxp[window] += tmp
-        self.arena.release(tmp)
-        return dxp, dw
-
     # -- dense ---------------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
 
     # -- batch norm ----------------------------------------------------
     def batchnorm_stats(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        axes = (0, 2, 3)
-        return x.mean(axis=axes), x.var(axis=axes)
+        """Two-pass ``(mean, biased var)`` over channel-contiguous sums."""
+        m = x.size // x.shape[1]
+        mean = channel_sum(x) / m
+        # a lane row of means: one long loop per sample, not H*W-float ones
+        centred = x.reshape(len(x), -1) - np.repeat(mean, x[0, 0].size)
+        np.square(centred, out=centred)
+        return mean, channel_sum(centred.reshape(x.shape)) / m
 
     # -- pooling -------------------------------------------------------
     def max_pool2d_forward(self, x: np.ndarray, kernel: Tuple[int, int],

@@ -4,7 +4,7 @@ Layout convention is NCHW throughout (matching PyTorch).  Convolution
 supports standard, grouped, and depthwise convolution — the three
 flavours needed by ResNet-18 / Wide-ResNet (groups=1), ResNeXt (grouped
 3x3), and MobileNetV2 (depthwise).  The default backend computes the
-first two with im2col+GEMM and depthwise with a direct tap loop; the
+first two with im2col+GEMM and depthwise with flat-lane taps; the
 einsum contraction they are checked against lives in the test suite
 (see :mod:`repro.engine.numpy_backend` for the numerical contract).
 

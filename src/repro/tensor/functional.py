@@ -10,7 +10,15 @@ mirroring PyTorch's ``F.batch_norm`` in its two modes:
   statistics, which is required for BN-Opt's entropy backprop to reach
   earlier layers' affine parameters.
 - :func:`batch_norm_eval` — normalizes with frozen running statistics
-  (``eval()`` mode, the No-Adapt baseline).
+  (``eval()`` mode, the No-Adapt baseline); ``xhat`` is built only in
+  the backward, its sole consumer.
+
+Train mode runs its elementwise passes over each sample's ``C*H*W`` row
+against per-channel lane rows and reduces channel-contiguous rows (the
+batch first, then each plane).  Its backward computes ``dbeta``,
+``dgamma`` and ``dx = gamma*inv_std * ((g - xhat*dgamma/m) - dbeta/m)``
+in one buffer; ``tests/test_tensor/test_bn_contract.py`` bounds its
+rounding against the composed float64 formula.
 
 The entropy loss :func:`entropy_loss` implements the Shannon-entropy
 objective of BN-Opt (TENT): ``H(y) = -sum_c p_c log p_c`` averaged over the
@@ -24,6 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.engine import get_backend
+from repro.engine.numpy_backend import channel_sum
 from repro.tensor.tensor import Tensor
 
 
@@ -41,26 +50,39 @@ def batch_norm_train(
     and ``beta`` are (C,).
     """
     data = x.data
-    axes = (0, 2, 3)
-    m = data.shape[0] * data.shape[2] * data.shape[3]
+    n, c = data.shape[:2]
+    m = data.size // c
     # biased variance, matching PyTorch normalization
     mean, var = get_backend().batchnorm_stats(data)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def row(v: np.ndarray) -> np.ndarray:
+        """Per-channel ``v`` as a lane row against ``(N, C*H*W)`` rows."""
+        return np.repeat(v, m // n)
+
+    xhat = data.reshape(n, -1) - row(mean)
+    xhat *= row(inv_std)
+    out_data = np.empty(data.shape, np.result_type(xhat, gamma.data, beta.data))
+    out_rows = out_data.reshape(n, -1)
+    np.multiply(xhat, row(gamma.data), out=out_rows)
+    out_rows += row(beta.data)
 
     def backward(grad: np.ndarray) -> None:
+        rows = grad.reshape(n, -1)
+        dbeta = channel_sum(grad)
+        dgamma = np.einsum("nl,nl->l", rows, xhat).reshape(c, -1).sum(axis=1)
         if gamma.requires_grad:
-            out._send_grad(gamma, (grad * xhat).sum(axis=axes))
+            out._send_grad(gamma, dgamma)
         if beta.requires_grad:
-            out._send_grad(beta, grad.sum(axis=axes))
+            out._send_grad(beta, dbeta)
         if x.requires_grad:
-            g = grad * gamma.data[None, :, None, None]
-            mean_g = g.mean(axis=axes)
-            mean_gx = (g * xhat).mean(axis=axes)
-            dx = (g - mean_g[None, :, None, None]
-                  - xhat * mean_gx[None, :, None, None]) * inv_std[None, :, None, None]
-            out._send_grad(x, dx)
+            # gamma * inv_std * ((g - xhat * dgamma/m) - dbeta/m), one buffer
+            dx = np.multiply(xhat, row(dgamma / m),
+                             dtype=np.result_type(grad, xhat, gamma.data))
+            np.subtract(rows, dx, out=dx)
+            dx -= row(dbeta / m)
+            dx *= row(gamma.data * inv_std)
+            out._send_grad(x, dx.reshape(grad.shape))
 
     out = Tensor._from_op(out_data, (x, gamma, beta), backward)
     # Unbiased variance for the running buffer, as PyTorch stores it.
@@ -78,13 +100,14 @@ def batch_norm_eval(
 ) -> Tensor:
     """Batch-norm forward using frozen running statistics (eval mode)."""
     inv_std = 1.0 / np.sqrt(running_var + eps)
+    mean = np.array(running_mean)  # the layer updates its buffer in place
     scale = gamma.data * inv_std
-    shift = beta.data - running_mean * scale
+    shift = beta.data - mean * scale
     out_data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
-    xhat = (x.data - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
 
     def backward(grad: np.ndarray) -> None:
         if gamma.requires_grad:
+            xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
             out._send_grad(gamma, (grad * xhat).sum(axis=(0, 2, 3)))
         if beta.requires_grad:
             out._send_grad(beta, grad.sum(axis=(0, 2, 3)))

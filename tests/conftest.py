@@ -6,13 +6,25 @@ briefly-trained micro model) are session-scoped so the suite stays fast.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import StudyConfig
 from repro.core.runner import run_simulated_study
 from repro.models.registry import MODEL_NAMES, build_model
 from repro.models.summary import summarize
+
+#: Example budget of the kernel contract tests (conv, depthwise, batch
+#: norm), which take it from the active profile instead of pinning their
+#: own.  ``HYPOTHESIS_PROFILE=nightly`` fuzzes them at 10x; every other
+#: property test sets its own ``max_examples`` and is unaffected.
+PR_EXAMPLES = 120
+settings.register_profile("pr", max_examples=PR_EXAMPLES)
+settings.register_profile("nightly", max_examples=10 * PR_EXAMPLES)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "pr"))
 
 
 @pytest.fixture(scope="session", autouse=True)

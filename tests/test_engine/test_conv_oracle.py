@@ -1,6 +1,6 @@
 """Property test: the backends' conv kernels against the einsum oracle.
 
-The im2col+GEMM (standard, grouped) and tap-loop (depthwise) kernels sum
+The im2col+GEMM (standard, grouped) and flat-lane (depthwise) kernels sum
 in a different order from the einsum oracle, so they are compared at the
 a-priori rounding bound of a length-``n`` reduction,
 
@@ -89,7 +89,7 @@ def run_kernels(backend, xp, weight, grad, stride, groups):
 
 
 @given(conv_cases(), st.sampled_from([np.float64, np.float32]))
-@settings(max_examples=120, deadline=None)
+@settings(deadline=None)
 def test_kernels_match_einsum_oracle(case, dtype):
     xp64, w64, g64 = operands(case)
     stride, groups = (case["stride"],) * 2, case["groups"]
