@@ -23,7 +23,7 @@ Commands
     ASCII trade-off scatter (Figs. 5/8/11/12 projection).
 ``bench``
     Time the execution-engine leaf kernels (conv forward/backward, one
-    BN-Opt step) per backend plus native sweep throughput (serial vs
+    BN-Opt step) plus native sweep throughput (serial vs
     ``--workers`` processes; skip with ``--no-sweep``) and write
     ``BENCH_engine.json``; ``--compare BASELINE --tolerance PCT`` turns
     the run into a perf-regression gate that exits non-zero when any
@@ -80,9 +80,9 @@ Commands
     codes follow the CLI convention: 0 clean, 1 findings, 2 usage
     error.
 
-Global flags ``--backend {numpy,threaded,sanitize}`` and ``--threads N``
-select the execution backend (see :mod:`repro.engine`) for any command
-that executes the numpy engine natively; ``sanitize`` wraps the
+The global flag ``--backend {numpy,sanitize}`` selects the execution
+backend (see :mod:`repro.engine`) for any command that executes the
+numpy engine natively; ``sanitize`` wraps the
 reference backend in the numeric sanitizer
 (:class:`~repro.analysis.sanitize.SanitizerBackend`), which validates
 every leaf op's arrays and attributes any NaN/Inf/dtype/shape violation
@@ -369,7 +369,7 @@ def _cmd_native(args: argparse.Namespace) -> int:
         stream_samples=args.samples, train_epochs=args.train_epochs,
         faults=args.faults or "", guard=args.guard,
         scenario=args.scenario or "",
-        backend=args.backend or "numpy", threads=args.threads or 0,
+        backend=args.backend or "numpy",
         journal=args.journal or "", resume=args.resume,
         max_retries=args.max_retries, cell_timeout=args.cell_timeout,
         workers=args.workers, seed=args.seed)
@@ -645,10 +645,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.engine.bench import (DEFAULT_BENCH_PATH, compare_engine_bench,
                                     format_bench_comparison,
                                     format_engine_bench, write_engine_bench)
-    backends = tuple(args.backends) if args.backends else BACKEND_NAMES
     doc = write_engine_bench(
-        args.json or DEFAULT_BENCH_PATH, backends=backends,
-        threads=args.threads or 0, batch=args.batch, repeats=args.repeats,
+        args.json or DEFAULT_BENCH_PATH, batch=args.batch,
+        repeats=args.repeats,
         sweep=not args.no_sweep, sweep_workers=args.workers,
         serving=args.serving, serving_tenants=args.serving_tenants,
         serving_frames=args.serving_frames)
@@ -730,10 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "DNN Adaptation on Edge Devices' (ISPASS 2022)")
     parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                         help="execution backend for native engine work")
-    parser.add_argument("--threads", type=_non_negative_int, default=None,
-                        metavar="N",
-                        help="worker threads for the threaded backend "
-                             "(0 = one per CPU core)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("models", help="model zoo footprints").set_defaults(
@@ -1014,11 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the rule catalog and exit")
     check.set_defaults(func=_cmd_check)
 
-    bench = sub.add_parser("bench",
-                           help="time engine leaf kernels per backend")
-    bench.add_argument("--backends", nargs="*", choices=BACKEND_NAMES,
-                       default=None,
-                       help="backends to measure (default: all)")
+    bench = sub.add_parser("bench", help="time engine leaf kernels")
     bench.add_argument("--batch", type=_positive_int, default=64,
                        help="batch size for the conv workload")
     bench.add_argument("--repeats", type=_positive_int, default=5,
@@ -1091,8 +1082,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.backend is not None:
-        set_default_backend(create_backend(args.backend,
-                                           threads=args.threads or 0))
+        set_default_backend(create_backend(args.backend))
     try:
         return args.func(args)
     finally:

@@ -1,7 +1,8 @@
 """Engine micro-benchmark: conv forward/backward and one BN-Opt step.
 
 ``python -m repro bench`` times the leaf kernels the paper's latency
-breakdowns are made of, once per execution backend, and writes the
+breakdowns are made of on the engine's compute backend,
+:class:`~repro.engine.numpy_backend.NumpyBackend`, and writes the
 results to ``BENCH_engine.json`` so successive PRs accumulate a
 comparable perf trajectory.  Three workloads:
 
@@ -14,9 +15,10 @@ comparable perf trajectory.  Three workloads:
   recompute, entropy backward, Adam update on gamma/beta) on a small
   conv-BN stack, the paper's end-to-end unit of adaptation work.
 
-Timings are best-of-``repeats`` wall clock (median is also recorded);
-the arena's hit-rate over the measured iterations is reported per
-backend.
+Timings are best-of-``repeats`` wall clock (median is also recorded),
+with the arena's hit-rate over the measured iterations.  The document
+keeps them under ``backends[BENCH_BACKEND]``, so older baselines with
+more backends still compare on the one measured here.
 
 With ``sweep=True`` the document also gets a ``sweep`` section: a small
 native adaptation grid is driven once serially and once through the
@@ -44,13 +46,16 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.engine import Backend, create_backend, use_backend
+from repro.engine import Backend, NumpyBackend, use_backend
 
 DEFAULT_BENCH_PATH = "BENCH_engine.json"
+
+#: the ``backends`` key the kernel timings are recorded under
+BENCH_BACKEND = "numpy"
 
 #: schema version for BENCH_engine.json (bump on incompatible change);
 #: v2 added the optional ``sweep`` throughput section, v3 the optional
@@ -170,9 +175,7 @@ def _bench_sweep(workers: int, seed: int) -> dict:
     return section
 
 
-def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
-                     threads: int = 0,
-                     batch: int = 64,
+def run_engine_bench(batch: int = 64,
                      channels: int = 16,
                      size: int = 16,
                      repeats: int = 5,
@@ -185,7 +188,7 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
                      serving_batch: int = 16,
                      serving_arrival: str = "poisson:rate=256",
                      serving_workers: int = 2) -> dict:
-    """Benchmark every named backend; return the BENCH_engine document.
+    """Benchmark the engine's kernels; return the BENCH_engine document.
 
     ``sweep=True`` appends the sweep-throughput section (serial vs
     ``sweep_workers`` processes; 0 means one per CPU core).
@@ -193,27 +196,22 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
     (``serving_tenants`` seeded tenant streams of ``serving_frames``
     frames each through an in-process daemon).
     """
-    results: Dict[str, dict] = {}
-    for name in backends:
-        backend = create_backend(name, threads=threads)
-        try:
-            entry: dict = dict(_bench_conv(backend, batch, channels, size,
-                                           repeats, seed))
-            entry["bn_opt_step"] = _bench_bn_opt_step(backend, batch,
-                                                      repeats, seed)
-            stats = backend.arena_stats()
-            entry["arena"] = {
-                "requests": stats.requests,
-                "hits": stats.hits,
-                "hit_rate": stats.hit_rate,
-                "bytes_allocated": stats.bytes_allocated,
-                "bytes_reused": stats.bytes_reused,
-            }
-            if isinstance(getattr(backend, "threads", None), int):
-                entry["threads"] = backend.threads
-            results[name] = entry
-        finally:
-            backend.close()
+    backend = NumpyBackend()
+    try:
+        entry: dict = dict(_bench_conv(backend, batch, channels, size,
+                                       repeats, seed))
+        entry["bn_opt_step"] = _bench_bn_opt_step(backend, batch,
+                                                  repeats, seed)
+        stats = backend.arena_stats()
+        entry["arena"] = {
+            "requests": stats.requests,
+            "hits": stats.hits,
+            "hit_rate": stats.hit_rate,
+            "bytes_allocated": stats.bytes_allocated,
+            "bytes_reused": stats.bytes_reused,
+        }
+    finally:
+        backend.close()
     doc = {
         "format": "repro.engine_bench",
         "version": BENCH_FORMAT_VERSION,
@@ -225,14 +223,8 @@ def run_engine_bench(backends: Sequence[str] = ("numpy", "threaded"),
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "backends": results,
+        "backends": {BENCH_BACKEND: entry},
     }
-    if "numpy" in results and "threaded" in results:
-        doc["speedup_threaded_vs_numpy"] = {
-            op: results["numpy"][op]["best_s"] / results["threaded"][op]["best_s"]
-            for op in ("conv_forward", "conv_backward", "bn_opt_step")
-            if results["threaded"][op]["best_s"] > 0
-        }
     if sweep:
         doc["sweep"] = _bench_sweep(sweep_workers or os.cpu_count() or 1,
                                     seed)
@@ -264,20 +256,12 @@ def format_engine_bench(doc: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for name, entry in doc["backends"].items():
-        label = name
-        if "threads" in entry:
-            label = f"{name}[{entry['threads']}]"
         lines.append(
-            f"{label:<12s} {entry['conv_forward']['best_s'] * 1e3:9.2f}ms "
+            f"{name:<12s} {entry['conv_forward']['best_s'] * 1e3:9.2f}ms "
             f"{entry['conv_backward']['best_s'] * 1e3:9.2f}ms "
             f"{entry['bn_opt_step']['best_s'] * 1e3:9.2f}ms"
             + (f"  arena {100 * entry['arena']['hit_rate']:.0f}% hit"
                if entry.get("arena", {}).get("requests") else ""))
-    speedups = doc.get("speedup_threaded_vs_numpy")
-    if speedups:
-        rendered = ", ".join(f"{op} x{ratio:.2f}"
-                             for op, ratio in speedups.items())
-        lines.append(f"threaded speedup vs numpy: {rendered}")
     sweep = doc.get("sweep")
     if sweep:
         lines.append(

@@ -1,4 +1,4 @@
-"""Reference backend: single-threaded numpy with workspace reuse.
+"""Reference backend: numpy (GEMMs on BLAS threads) with workspace reuse.
 
 Convolution runs as im2col+GEMM for standard and grouped convs: the
 strided im2col view is copied once into ``(N, g, cig*kh*kw, Ho*Wo)``
@@ -25,9 +25,7 @@ worst-case rounding bound of its reduction length,
 ``gamma_n * sum|terms|``, in float64 and float32.  Depthwise forward and
 input gradient keep the tap order per element, so they are bit-identical
 to the tap loop in ``tests/test_engine/conv_oracle.py``.  Results are
-deterministic run to run, and the forward output and input gradient of
-one sample never depend on the rest of the batch (ThreadedBackend relies
-on this for bit-identity).  Batch-norm statistics are two-pass, and each
+deterministic run to run.  Batch-norm statistics are two-pass, and each
 per-channel sum reduces contiguous rows, the batch first and then each
 plane (:func:`channel_sum`), never numpy's strided ``axis=(0, 2, 3)``.
 

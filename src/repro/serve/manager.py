@@ -387,7 +387,9 @@ class SessionManager:
 
     def scorecard(self, tenant: str):
         """The tenant's current scorecard (live counters included)."""
-        return self._get(tenant).session.scorecard()
+        entry = self._get(tenant)
+        with entry.lock:
+            return entry.session.scorecard()
 
     def close_tenant(self, tenant: str, *, restore: bool = False):
         """Finish one tenant's stream; returns its final scorecard.
@@ -525,26 +527,32 @@ class SessionManager:
         return removed
 
     def status(self) -> dict:
-        """JSON-safe health document: tenants, journal, counters."""
+        """JSON-safe health document: tenants, journal, counters.
+
+        Each tenant's row is read under its ``entry.lock``, taken after
+        the registry lock is released (``_LOCK_ORDER``), so a row never
+        shows a batch counted whose frames are not.
+        """
         with self._tenants_lock:
             entries = list(self._tenants.items())
             suspended = sorted(self._saved)
         tenants = {}
         for name, entry in entries:
-            card = entry.session.scorecard()
-            tenants[name] = {
-                "batches_done": entry.session.batches_total,
-                "pending_frames": len(entry.pending_images)
-                + entry.queued_frames,
-                "chunk": entry.last_chunk,
-                "closed": entry.closed,
-                "frames_processed": card.frames_processed,
-                "frames_dropped": card.frames_dropped,
-                "faults_injected": card.faults_injected,
-                "rollbacks": card.rollbacks,
-                "degraded_batches": card.degraded_batches,
-                "fallback_frames": card.fallback_frames,
-            }
+            with entry.lock:
+                card = entry.session.scorecard()
+                tenants[name] = {
+                    "batches_done": entry.session.batches_total,
+                    "pending_frames": len(entry.pending_images)
+                    + entry.queued_frames,
+                    "chunk": entry.last_chunk,
+                    "closed": entry.closed,
+                    "frames_processed": card.frames_processed,
+                    "frames_dropped": card.frames_dropped,
+                    "faults_injected": card.faults_injected,
+                    "rollbacks": card.rollbacks,
+                    "degraded_batches": card.degraded_batches,
+                    "fallback_frames": card.fallback_frames,
+                }
         journal = None
         if self._journal is not None:
             with self._journal_lock:

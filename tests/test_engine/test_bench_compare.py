@@ -13,8 +13,8 @@ from repro.engine.bench import (BENCH_FORMAT_VERSION, compare_engine_bench,
 @pytest.fixture(scope="module")
 def bench_doc():
     """One cheap real bench run shared by the whole module."""
-    return run_engine_bench(backends=("numpy",), batch=4, channels=4,
-                            size=8, repeats=1, sweep=True, sweep_workers=1)
+    return run_engine_bench(batch=4, channels=4, size=8, repeats=1,
+                            sweep=True, sweep_workers=1)
 
 
 def scale_times(doc, factor):

@@ -1,27 +1,19 @@
 """Gradcheck for grouped/depthwise convolution under every backend.
 
-The backend contract: the default NumpyBackend (im2col+GEMM, and a tap
-loop for depthwise) matches finite differences, and so does the
-ThreadedBackend, whose forward output and input gradient are bit-identical
-to NumpyBackend's (its only reassociation is the shard-ordered weight
-gradient sum).  These checks run in float64 so the tolerance is the
-gradcheck default; the kernels' bound against the einsum oracle is
-property-tested in ``test_conv_oracle.py``.
+The backend contract: the default NumpyBackend (im2col+GEMM, and flat
+lanes for depthwise) matches finite differences, and so does the
+``sanitize`` backend, which delegates every kernel to a NumpyBackend and
+must hand its results back bit-identical.  These checks run in float64
+so the tolerance is the gradcheck default; the kernels' bound against
+the einsum oracle is property-tested in ``test_conv_oracle.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import NumpyBackend, ThreadedBackend, use_backend
+from repro.engine import NumpyBackend, create_backend, use_backend
 from repro.tensor import Tensor, gradcheck
 from repro.tensor.conv import conv2d
-
-
-def make_backend(name):
-    if name == "numpy":
-        return NumpyBackend()
-    # Small min_shard so the tiny gradcheck batches actually shard.
-    return ThreadedBackend(threads=2, min_shard=2)
 
 
 def f64(shape, seed):
@@ -29,9 +21,9 @@ def f64(shape, seed):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-@pytest.fixture(params=["numpy", "threaded"])
+@pytest.fixture(params=["numpy", "sanitize"])
 def backend(request):
-    built = make_backend(request.param)
+    built = create_backend(request.param)
     with use_backend(built):
         yield built
     built.close()
@@ -78,9 +70,6 @@ class TestCrossBackendIdentity:
             return out.data, x.grad, w.grad
 
         ref = run(NumpyBackend())
-        threaded = ThreadedBackend(threads=2, min_shard=2)
-        got = run(threaded)
-        threaded.close()
-        np.testing.assert_allclose(got[0], ref[0], atol=1e-12)
-        np.testing.assert_allclose(got[1], ref[1], atol=1e-12)
-        np.testing.assert_allclose(got[2], ref[2], atol=1e-10)
+        got = run(create_backend("sanitize"))
+        for got_array, ref_array in zip(got, ref):
+            np.testing.assert_array_equal(got_array, ref_array)

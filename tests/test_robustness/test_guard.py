@@ -232,13 +232,13 @@ class TestReset:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend_name", ["numpy", "threaded"])
+    @pytest.mark.parametrize("backend_name", ["numpy", "sanitize"])
     def test_rollback_bit_identical_on_backend(self, backend_name,
                                                clean_batch, nan_batch):
         """The acceptance bar: after a rollback the BN state equals the
         pre-batch snapshot *bit for bit*, whichever execution backend ran
         the poisoned forward pass."""
-        backend = create_backend(backend_name, threads=2)
+        backend = create_backend(backend_name)
         try:
             with use_backend(backend):
                 model = build_model("wrn40_2", "tiny")

@@ -8,9 +8,12 @@ the per-tenant scorecard and model bytes must equal an uninterrupted
 twin's exactly.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro.serve.session as session_module
 from repro.resilience.journal import scan_journal
 from repro.serve.manager import AdmissionError, SessionManager, TenantSpec
 
@@ -113,6 +116,62 @@ class TestLifecycle:
         images, labels = make_batches(1, batch_size=8)[0]
         manager.ingest("cam0", images, labels, faults=3)
         assert manager.scorecard("cam0").faults_injected == 3
+
+
+class TestConsistentReads:
+    """Readers take the tenant lock, so a batch is counted whole or not."""
+
+    @pytest.fixture
+    def held_batch(self, manager, monkeypatch):
+        """One batch held in its scoring step: ``batches_total`` already
+        counts it, ``frames_processed`` does not yet."""
+        scoring, release = threading.Event(), threading.Event()
+
+        class BlockingScoring:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def nan_to_num(self, *args, **kwargs):
+                scoring.set()
+                release.wait(10)
+                return np.nan_to_num(*args, **kwargs)
+
+        manager.open_tenant(spec_for("cam0"))
+        monkeypatch.setattr(session_module, "np", BlockingScoring())
+        images, labels = make_batches(1, batch_size=8)[0]
+        ingest = threading.Thread(target=manager.ingest,
+                                  args=("cam0", images, labels), daemon=True)
+        ingest.start()
+        assert scoring.wait(10)
+        yield release
+        release.set()
+        ingest.join(10)
+        assert not ingest.is_alive()
+
+    def read_while_held(self, release, read):
+        seen = {}
+        reader = threading.Thread(target=lambda: seen.update(read=read()),
+                                  daemon=True)
+        reader.start()
+        reader.join(0.5)          # an unlocked read returns here, torn
+        blocked = reader.is_alive()
+        release.set()
+        reader.join(10)
+        assert not reader.is_alive()
+        return blocked, seen["read"]
+
+    def test_status_waits_for_the_batch(self, manager, held_batch):
+        blocked, status = self.read_while_held(held_batch, manager.status)
+        row = status["tenants"]["cam0"]
+        assert (row["batches_done"], row["frames_processed"]) == (1, 8)
+        assert row["pending_frames"] == 0
+        assert blocked
+
+    def test_scorecard_waits_for_the_batch(self, manager, held_batch):
+        blocked, card = self.read_while_held(
+            held_batch, lambda: manager.scorecard("cam0"))
+        assert (card.batches_total, card.frames_processed) == (1, 8)
+        assert blocked
 
 
 class TestJournalResume:
