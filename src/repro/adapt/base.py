@@ -69,8 +69,8 @@ class AdaptationMethod(abc.ABC):
         """Attach to ``model`` and configure modes/grads *without* taking
         the pristine snapshot.
 
-        For wrappers that manage model state themselves (the robustness
-        layer's :class:`~repro.robustness.guard.GuardedAdaptation` switches
+        For wrappers that manage model state themselves (the
+        :class:`~repro.adapt.guard.GuardedAdaptation` guard switches
         ladder levels mid-stream and restores its own BN snapshots);
         ``reset()`` stays the province of whichever method was
         ``prepare``-d.  Re-binding also rebuilds per-method optimizer

@@ -1,4 +1,4 @@
-"""Lossless JSON encoding of numpy state for serve-layer checkpoints.
+"""Lossless JSON encoding of numpy state for session checkpoints.
 
 Session checkpoints ride inside the serve daemon's run journal (JSONL)
 and across the wire protocol, both of which speak JSON — but the state

@@ -48,7 +48,7 @@ Commands
     merged output (see :mod:`repro.parallel`).
 ``serve``
     Run the multi-tenant adaptation daemon (:mod:`repro.serve`): TCP
-    wire protocol, per-tenant :class:`~repro.serve.session.AdaptationSession`
+    wire protocol, per-tenant :class:`~repro.adapt.session.AdaptationSession`
     streams with guarded adaptation and admission control, and
     journal-backed crash recovery — ``--journal`` checkpoints every
     tenant after every batch, ``--resume`` restores every open tenant
@@ -255,36 +255,6 @@ def _print_scenario_outcome(outcome) -> None:
               "recurring phases)")
 
 
-def _scenario_records(outcome, *, model: str, method: str,
-                      batch_size: int, guarded: bool) -> "StudyResult":
-    """A scenario outcome as study-result records (aggregate + segments)."""
-    from repro.core.records import MeasurementRecord, StudyResult
-
-    card = outcome.scorecard
-    records = [MeasurementRecord(
-        model=model, method=method, batch_size=batch_size, device="host",
-        error_pct=card.effective_error_pct,
-        forward_time_s=card.wall_time_s / max(card.batches_total, 1),
-        energy_j=float("nan"),
-        faults_injected=card.faults_injected, rollbacks=card.rollbacks,
-        degraded_batches=card.degraded_batches,
-        fallback_frames=card.fallback_frames, guarded=guarded,
-        scenario=outcome.scenario)]
-    for segment in outcome.segments:
-        records.append(MeasurementRecord(
-            model=model, method=method, batch_size=batch_size,
-            device="host",
-            error_pct=(segment.error_pct if segment.frames
-                       else float("nan")),
-            forward_time_s=float("nan"), energy_j=float("nan"),
-            corruption=segment.corruption,
-            rollbacks=segment.rollbacks,
-            degraded_batches=segment.degraded_batches,
-            fallback_frames=segment.fallback_frames, guarded=guarded,
-            scenario=outcome.scenario, segment=segment.ordinal))
-    return StudyResult(records)
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.data.stream import CorruptionStream
     from repro.data.synthetic import make_synth_cifar
@@ -315,11 +285,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(outcome.scorecard.describe())
         _print_scenario_outcome(outcome)
         if args.json:
+            from repro.core.executor import CellSpec
             from repro.core.io import save_json
-            save_json(_scenario_records(
-                outcome, model=args.model, method=args.method,
-                batch_size=args.batch_size, guarded=bool(args.guard)),
-                args.json)
+            from repro.core.runner import scenario_records
+            spec = CellSpec(key=args.scenario, model=args.model,
+                            method=args.method, batch_size=args.batch_size,
+                            guarded=bool(args.guard))
+            save_json(StudyResult(scenario_records(outcome, spec)),
+                      args.json)
             print(f"wrote {args.json}")
         return 0
     stream = CorruptionStream.from_dataset(data, args.corruption,
@@ -332,7 +305,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     print(card.describe())
     if args.json:
         from repro.core.io import save_json
-        from repro.core.records import MeasurementRecord, StudyResult
+        from repro.core.records import MeasurementRecord
         record = MeasurementRecord(
             model=args.model, method=args.method,
             batch_size=args.batch_size, device="host",

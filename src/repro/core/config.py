@@ -79,7 +79,7 @@ class StudyConfig:
     #: emitted per shift segment.
     scenario: str = ""
     #: wrap each native method in GuardedAdaptation
-    #: (:mod:`repro.robustness.guard`)
+    #: (:mod:`repro.adapt.guard`)
     guard: bool = False
     # resilient-execution parameters (:mod:`repro.resilience`); the
     # native runner drives its grid cell-by-cell through a

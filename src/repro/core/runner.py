@@ -23,7 +23,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.adapt import build_method
+from repro.adapt.guard import GuardedAdaptation
 from repro.core.config import StudyConfig
+from repro.core.executor import CellSpec, ResilientExecutor
 from repro.engine import create_backend, use_backend
 from repro.core.records import MeasurementRecord, StudyResult
 from repro.core.reference import reference_error_pct
@@ -36,11 +38,11 @@ from repro.devices.energy import energy_per_batch
 from repro.devices.memory import estimate_memory
 from repro.models.registry import build_model
 from repro.models.summary import ModelSummary, summarize
-from repro.resilience.executor import CellSpec, ResilientExecutor
 from repro.resilience.journal import RunJournal
-from repro.robustness.faults import FaultInjector, parse_fault_specs
-from repro.robustness.guard import GuardedAdaptation
-from repro.serve.session import AdaptationSession
+from repro.robustness.faults import parse_fault_specs
+from repro.robustness.harness import run_guarded_stream
+from repro.scenarios.harness import ScenarioOutcome, run_scenario_stream
+from repro.scenarios.stream import ScenarioStream
 from repro.train.trainer import pretrain_robust
 
 
@@ -150,13 +152,13 @@ def run_native_study(config: Optional[StudyConfig] = None,
 
     ``config.faults`` injects faults into every stream on a seeded
     schedule, and ``config.guard`` wraps each method in
-    :class:`~repro.robustness.guard.GuardedAdaptation`; the records'
+    :class:`~repro.adapt.guard.GuardedAdaptation`; the records'
     guard counters (``faults_injected``/``rollbacks``/
     ``degraded_batches``/``fallback_frames``) report what happened.
 
     The grid is driven cell by cell (one cell per (model, method,
     batch size) over the full corruption set) through a
-    :class:`~repro.resilience.executor.ResilientExecutor`: a raising
+    :class:`~repro.core.executor.ResilientExecutor`: a raising
     cell becomes a ``status="failed"`` record and the sweep continues,
     ``config.max_retries``/``config.cell_timeout`` bound retries and
     per-cell wall time, and ``config.journal``/``config.resume`` make
@@ -235,9 +237,6 @@ def _build_streams(config: StudyConfig) -> List:
     test = make_synth_cifar(config.stream_samples, size=config.image_size,
                             seed=config.seed + 12345)
     if config.scenario:
-        # imported lazily: core stays importable without the scenario
-        # layer, which itself builds on core.streaming
-        from repro.scenarios.stream import ScenarioStream
         return [ScenarioStream.from_dataset(test, config.scenario,
                                             seed=config.seed)]
     return [CorruptionStream.from_dataset(test, corruption,
@@ -388,8 +387,8 @@ def _run_native_cell(config: StudyConfig, model, spec: CellSpec,
                      ) -> List[MeasurementRecord]:
     """Execute one isolated grid cell over the full corruption set.
 
-    Each corruption stream is driven through an
-    :class:`~repro.serve.session.AdaptationSession` with the
+    Each corruption stream is one
+    :func:`~repro.robustness.harness.run_guarded_stream` call with the
     ``"always"``-restore policy: the session harvests the guard
     counters and then resets the method whether the stream finished or
     raised, so a failed cell cannot leak adapted BN state into the
@@ -403,8 +402,11 @@ def _run_native_cell(config: StudyConfig, model, spec: CellSpec,
     if config.guard:
         method = GuardedAdaptation(method)
     if config.scenario:
-        return _run_scenario_cell(config, model, spec, streams[0],
-                                  fault_specs, per_corruption, method)
+        outcome = run_scenario_stream(
+            model, method, streams[0], batch_size=spec.batch_size,
+            guard=False,  # a guarded method is already wrapped above
+            faults=fault_specs, seed=config.seed, restore="always")
+        return scenario_records(outcome, spec, per_segment=per_corruption)
     records: List[MeasurementRecord] = []
     errors = []
     wall = 0.0
@@ -412,30 +414,21 @@ def _run_native_cell(config: StudyConfig, model, spec: CellSpec,
     counters = np.zeros(4, dtype=int)   # faults, rollbacks,
     #                                     degraded, fallback
     for stream_index, stream in enumerate(streams):
-        batch_iter = stream.batches(spec.batch_size)
-        injector = None
-        if fault_specs is not None:
-            injector = FaultInjector(
-                fault_specs,
-                seed=config.seed + 7919 * stream_index)
-            batch_iter = injector.inject(batch_iter)
-        with AdaptationSession(model, method,
-                               restore="always") as session:
-            for images, labels in batch_iter:
-                session.process_batch(images, labels)
-            session.faults_injected = (injector.faults_injected
-                                       if injector else 0)
-        wall += session.wall_time_s
-        batches += session.batches_total
+        card = run_guarded_stream(
+            model, method, stream.batches(spec.batch_size),
+            guard=False,  # a guarded method is already wrapped above
+            faults=fault_specs, seed=config.seed + 7919 * stream_index,
+            restore="always")
+        wall += card.wall_time_s
+        batches += card.batches_total
         stream_counters = np.array([
-            session.faults_injected, session.rollbacks,
-            session.degraded_batches, session.fallback_frames])
+            card.faults_injected, card.rollbacks,
+            card.degraded_batches, card.fallback_frames])
         counters += stream_counters
         # a stream shorter than the batch size yields zero samples;
         # report NaN for it rather than dividing by zero
-        error = (100.0 * (1.0 - session.frames_correct
-                          / session.frames_processed)
-                 if session.frames_processed else float("nan"))
+        error = (card.effective_error_pct if card.frames_processed
+                 else float("nan"))
         errors.append(error)
         if per_corruption:
             records.append(MeasurementRecord(
@@ -465,39 +458,30 @@ def _run_native_cell(config: StudyConfig, model, spec: CellSpec,
     return records
 
 
-def _run_scenario_cell(config: StudyConfig, model, spec: CellSpec,
-                       stream, fault_specs, per_corruption: bool,
-                       method) -> List[MeasurementRecord]:
-    """One grid cell over a scenario stream instead of the corruption set.
+def scenario_records(outcome: ScenarioOutcome, spec: CellSpec, *,
+                     per_segment: bool = True) -> List[MeasurementRecord]:
+    """A scenario outcome as study records: segments, then the aggregate.
 
-    The single stream is driven through the scenario harness with the
-    same episodic ``"always"``-restore contract as the corruption-grid
-    path; ``per_corruption=True`` emits one record per *shift segment*
-    (its ``corruption`` field carrying the segment's corruption and
-    ``segment`` its ordinal) instead of one per corruption type.
+    With ``per_segment`` one record per *shift segment* comes first (its
+    ``corruption`` field carrying the segment's corruption and
+    ``segment`` its ordinal), then the whole-stream aggregate.  A
+    segment or stream that scored no frames reports a NaN error.
     """
-    from repro.scenarios.harness import run_scenario_stream
-
-    outcome = run_scenario_stream(
-        model, method, stream, batch_size=spec.batch_size,
-        guard=False,  # a guarded method is already wrapped above
-        faults=fault_specs, seed=config.seed, restore="always")
-    card = outcome.scorecard
     records: List[MeasurementRecord] = []
-    if per_corruption:
-        for segment in outcome.segments:
-            records.append(MeasurementRecord(
-                model=spec.model, method=spec.method,
-                batch_size=spec.batch_size, device=spec.device,
-                error_pct=(segment.error_pct if segment.frames
-                           else float("nan")),
-                forward_time_s=float("nan"), energy_j=float("nan"),
-                corruption=segment.corruption, backend=spec.backend,
-                rollbacks=segment.rollbacks,
-                degraded_batches=segment.degraded_batches,
-                fallback_frames=segment.fallback_frames,
-                guarded=config.guard, scenario=outcome.scenario,
-                segment=segment.ordinal))
+    for segment in (outcome.segments if per_segment else ()):
+        records.append(MeasurementRecord(
+            model=spec.model, method=spec.method,
+            batch_size=spec.batch_size, device=spec.device,
+            error_pct=(segment.error_pct if segment.frames
+                       else float("nan")),
+            forward_time_s=float("nan"), energy_j=float("nan"),
+            corruption=segment.corruption, backend=spec.backend,
+            rollbacks=segment.rollbacks,
+            degraded_batches=segment.degraded_batches,
+            fallback_frames=segment.fallback_frames,
+            guarded=spec.guarded, scenario=outcome.scenario,
+            segment=segment.ordinal))
+    card = outcome.scorecard
     records.append(MeasurementRecord(
         model=spec.model, method=spec.method,
         batch_size=spec.batch_size, device=spec.device,
@@ -509,5 +493,5 @@ def _run_scenario_cell(config: StudyConfig, model, spec: CellSpec,
         rollbacks=card.rollbacks,
         degraded_batches=card.degraded_batches,
         fallback_frames=card.fallback_frames,
-        guarded=config.guard, scenario=outcome.scenario))
+        guarded=spec.guarded, scenario=outcome.scenario))
     return records

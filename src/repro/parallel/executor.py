@@ -1,7 +1,7 @@
 """Process-pool cell scheduler with a single-writer journal funnel.
 
 :class:`ParallelExecutor` extends the resilience layer's cell execution
-(:class:`~repro.resilience.executor.ResilientExecutor`) to N worker
+(:class:`~repro.core.executor.ResilientExecutor`) to N worker
 *processes*.  The contract it keeps:
 
 - **same semantics, funnelled** — each worker drives its cells through
@@ -27,7 +27,7 @@
   emitted is already in the parent's pipe, so killing that worker an
   instant later can never un-settle cells it reported finished;
 - **resume interop** — resume/fingerprint semantics are shared with the
-  serial executor (:func:`~repro.resilience.executor.recover_completed`),
+  serial executor (:func:`~repro.core.executor.recover_completed`),
   so a journal written serially can be resumed in parallel and vice
   versa, replaying completed cells bit-identically.
 
@@ -45,9 +45,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.io import record_from_dict
 from repro.core.records import StudyResult
-from repro.resilience.executor import (CellSpec, ExecutorStats, RetryPolicy,
-                                       make_failed_record, recover_completed)
+from repro.core.executor import (CellSpec, ExecutorStats, make_failed_record,
+                                 recover_completed)
 from repro.resilience.journal import RunJournal
+from repro.resilience.retry import RetryPolicy
 from repro.parallel.worker import SHUTDOWN, CellRunner, CellTask, worker_main
 
 #: poll interval for the event funnel (also the liveness-check cadence)
@@ -65,7 +66,7 @@ class WorkerCrashError(RuntimeError):
 class ParallelExecutor:
     """Drive study cells across N worker processes.
 
-    Parameters mirror :class:`~repro.resilience.executor.ResilientExecutor`
+    Parameters mirror :class:`~repro.core.executor.ResilientExecutor`
     (journal, resume, max_retries, cell_timeout, backoff_base, seed,
     fingerprint) plus:
 

@@ -2,22 +2,19 @@
 
 The paper's benchmark is a long grid sweep on flaky edge hardware; this
 package makes the *run itself* survivable rather than only individual
-batches (which :mod:`repro.robustness` already guards):
+batches (which :mod:`repro.adapt.guard` already guards):
 
 - :mod:`repro.resilience.atomic` — tmp + rename + fsync file writes, so
   a crash never leaves a half-written artifact;
 - :mod:`repro.resilience.journal` — an append-only JSONL run journal
   whose recovery scanner tolerates the truncated trailing line a
   mid-write kill produces;
-- :mod:`repro.resilience.executor` — :class:`ResilientExecutor`: drives
-  the native grid cell by cell with exception isolation, a soft-deadline
-  watchdog, bounded seeded-backoff retries, and journal-based resume
-  (``resume=True`` replays completed cells bit-identically instead of
-  re-executing them).
+- :mod:`repro.resilience.retry` — :class:`RetryPolicy`: bounded
+  attempts with deterministic seeded backoff.
 
-``executor`` is imported lazily (PEP 562): it depends on
-:mod:`repro.core.io`, which itself uses :mod:`repro.resilience.atomic`
-for atomic saves — eager import here would close that cycle.
+The cell executor that drives a study grid on these parts
+(:class:`~repro.core.executor.ResilientExecutor`) reads and writes
+study records, so it lives with them in :mod:`repro.core`.
 """
 
 from repro.resilience.atomic import (
@@ -32,11 +29,7 @@ from repro.resilience.journal import (
     RunJournal,
     scan_journal,
 )
-
-_EXECUTOR_NAMES = ("CellFn", "CellSpec", "CellTimeoutError",
-                   "ExecutorStats", "ResilientExecutor", "RetryPolicy",
-                   "call_with_deadline", "make_failed_record",
-                   "recover_completed", "run_cell_attempts")
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "atomic_path",
@@ -46,13 +39,6 @@ __all__ = [
     "JournalError",
     "JournalScan",
     "RunJournal",
+    "RetryPolicy",
     "scan_journal",
-    *_EXECUTOR_NAMES,
 ]
-
-
-def __getattr__(name: str):
-    if name in _EXECUTOR_NAMES:
-        from repro.resilience import executor
-        return getattr(executor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,12 +9,16 @@ best-case-only:
 - :mod:`repro.robustness.faults` — seeded injection of the faults edge
   pipelines actually produce (NaN/Inf pixels, constant batches,
   wrong-range inputs, truncated batches, duplicated frames);
-- :mod:`repro.robustness.guard` — :class:`GuardedAdaptation`: per-batch
-  BN snapshots, label-free health checks, bit-identical rollback and a
-  ``bn_opt -> bn_norm -> no_adapt`` degradation ladder with cooldown;
 - :mod:`repro.robustness.harness` — :func:`run_guarded_stream`, the
-  native end-to-end runner producing a guard-annotated
-  :class:`~repro.core.streaming.StreamScorecard`.
+  one loop that drives an adaptation session over a (faulted,
+  guarded, optionally scenario-planned) batch stream and returns a
+  guard-annotated :class:`~repro.adapt.session.StreamScorecard`.
+
+The guard itself — :class:`~repro.adapt.guard.GuardedAdaptation`:
+per-batch BN snapshots, label-free health checks, bit-identical
+rollback and a ``bn_opt -> bn_norm -> no_adapt`` degradation ladder —
+lives in :mod:`repro.adapt.guard`, beside the session that wraps
+methods in it.
 """
 
 from repro.robustness.faults import (
@@ -29,12 +33,6 @@ from repro.robustness.faults import (
     parse_fault_specs,
     register_fault_names,
 )
-from repro.robustness.guard import (
-    LADDER,
-    GuardConfig,
-    GuardedAdaptation,
-    GuardEvent,
-)
 from repro.robustness.harness import run_guarded_stream
 
 __all__ = [
@@ -48,9 +46,5 @@ __all__ = [
     "known_fault_names",
     "parse_fault_specs",
     "register_fault_names",
-    "LADDER",
-    "GuardConfig",
-    "GuardedAdaptation",
-    "GuardEvent",
     "run_guarded_stream",
 ]

@@ -1,27 +1,35 @@
-"""Native guarded streaming: real execution, faults, guard, one scorecard.
+"""Native guarded streaming: the one loop that drives a session over batches.
 
-:func:`run_guarded_stream` is the robustness layer's end-to-end entry
-point: it plays a real batch stream through a real adaptation method on
-the numpy engine — optionally injecting faults and optionally guarding —
-and reports the same :class:`~repro.core.streaming.StreamScorecard` the
+:func:`run_guarded_stream` plays a real batch stream through a real
+adaptation method on the numpy engine — optionally injecting faults,
+optionally guarding, optionally following a scenario schedule — and
+reports the same :class:`~repro.adapt.session.StreamScorecard` the
 analytic simulator produces, with *measured* effective error and wall
 time and the guard counters filled in.  This is the demonstration that
 an unguarded NaN batch silently poisons every subsequent frame while the
 guarded run rolls back, degrades, and recovers.
+
+Every native stream runs through this loop: the CLI ``stream`` command,
+the scenario harness (:func:`repro.scenarios.run_scenario_stream`,
+which segments the outcome from its ``on_batch`` hook) and the study
+runner's corruption cells.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.adapt.base import AdaptationMethod
-from repro.core.streaming import StreamScorecard
+from repro.adapt.guard import GuardConfig
+from repro.adapt.session import AdaptationSession, StreamScorecard
 from repro.robustness.faults import FaultInjector, FaultSpec, parse_fault_specs
-from repro.robustness.guard import GuardConfig
 
 Batches = Iterable[Tuple[np.ndarray, np.ndarray]]
+
+#: per-batch hook: (batch index, session, whether the batch adapted)
+BatchHook = Callable[[int, AdaptationSession, bool], None]
 
 
 def run_guarded_stream(model, method: Union[str, AdaptationMethod],
@@ -30,7 +38,10 @@ def run_guarded_stream(model, method: Union[str, AdaptationMethod],
                        faults: Union[None, str, Sequence[FaultSpec]] = None,
                        seed: int = 0,
                        fps: Optional[float] = None,
-                       scenario=None) -> StreamScorecard:
+                       scenario=None,
+                       restore: str = "on_error",
+                       on_batch: Optional[BatchHook] = None
+                       ) -> StreamScorecard:
     """Execute a (possibly faulted, possibly guarded) stream for real.
 
     Parameters
@@ -49,43 +60,31 @@ def run_guarded_stream(model, method: Union[str, AdaptationMethod],
     faults:
         Fault specs — a CLI-style string (``"nan:0.2,constant@3"``), a
         sequence of :class:`FaultSpec`, or ``None`` for a clean stream.
+    seed:
+        Seeds the fault schedule.
     fps:
         Optional frame arrival rate; when given, a batch whose measured
         service time exceeds the batch period counts as late.
     scenario:
-        Optional scenario attached to the stream — a compact spec
-        string, a :class:`~repro.scenarios.spec.ScenarioSpec`, or a
-        :class:`~repro.scenarios.schedule.ScenarioSchedule` (typically
-        the one that generated ``batches``).  The schedule's per-batch
-        ``adapt`` flag is honored (``budgeted`` freezing) and the
-        scorecard is stamped with the compact spec form.  A string or
-        spec here only drives adapt gating/stamping; to *generate*
-        scenario-shaped batches, use a
-        :class:`~repro.scenarios.stream.ScenarioStream` (or the
-        scenario harness, which also segments the outcome).
+        Optional per-batch plan: any object with a ``label`` and a
+        ``plan_for(index)`` whose result has an ``adapt`` flag — a
+        :class:`~repro.scenarios.schedule.ScenarioSchedule` or a
+        :class:`~repro.scenarios.stream.ScenarioStream`, typically the
+        one that generated ``batches``.  Batches planned with
+        ``adapt=False`` are served frozen (``budgeted`` scenarios) and
+        the scorecard is stamped with the label.
+    restore:
+        Session teardown policy: ``"on_error"`` (deployment semantics —
+        a clean stream leaves the model adapted, an exception
+        mid-stream restores the pristine source state before
+        propagating) or ``"always"`` (episodic evaluation).
+    on_batch:
+        Optional ``on_batch(index, session, adapted)`` called after each
+        batch, for drivers that need per-batch accounting.
 
     Returns the scorecard with measured ``effective_error_pct``,
     per-batch host wall time, and the guard/fault counters.
-
-    This is a thin driver over
-    :class:`~repro.serve.session.AdaptationSession` (``restore`` policy
-    ``"on_error"``): a clean stream leaves the model adapted —
-    deployment semantics — while an exception mid-stream restores the
-    pristine source state before propagating.
     """
-    # imported here, not at module level: the serve layer imports
-    # repro.robustness.guard, whose package __init__ imports this
-    # module — a top-level import would complete the cycle
-    from repro.serve.session import AdaptationSession
-
-    schedule = None
-    if scenario is not None:
-        # lazy for the same cycle reason; as_schedule accepts compact
-        # strings and specs, an existing schedule is used as-is
-        from repro.scenarios.schedule import ScenarioSchedule, as_schedule
-        schedule = scenario if isinstance(scenario, ScenarioSchedule) \
-            else as_schedule(scenario, seed=seed)
-
     injector = None
     if faults is not None:
         specs = parse_fault_specs(faults) if isinstance(faults, str) \
@@ -94,12 +93,15 @@ def run_guarded_stream(model, method: Union[str, AdaptationMethod],
         batches = injector.inject(batches)
 
     session = AdaptationSession(model, method, guard=guard, fps=fps,
-                                restore="on_error")
-    if schedule is not None:
-        session.scenario = schedule.label
+                                restore=restore)
+    if scenario is not None:
+        session.scenario = scenario.label
     with session:
         for index, (images, labels) in enumerate(batches):
-            adapt = schedule.plan_for(index).adapt if schedule else True
+            adapt = (scenario.plan_for(index).adapt
+                     if scenario is not None else True)
             session.process_batch(images, labels, adapt=adapt)
+            if on_batch is not None:
+                on_batch(index, session, adapt)
         session.faults_injected = injector.faults_injected if injector else 0
     return session.scorecard()

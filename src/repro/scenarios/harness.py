@@ -1,14 +1,14 @@
 """End-to-end scenario driver: one stream, one session, segmented outcome.
 
-:func:`run_scenario_stream` is the scenario counterpart of
-:func:`~repro.robustness.harness.run_guarded_stream`: it plays a
-:class:`~repro.scenarios.stream.ScenarioStream` through a real
-adaptation method — optionally fault-injected, optionally guarded —
-but additionally honors the schedule's per-batch ``adapt`` flag
-(``budgeted`` freezing) and differences the session's counters around
-every batch, so the outcome carries one
-:class:`~repro.scenarios.metrics.SegmentCard` per shift phase plus the
-recurrence forgetting metric, not just a whole-stream scorecard.
+:func:`run_scenario_stream` plays a
+:class:`~repro.scenarios.stream.ScenarioStream` through
+:func:`~repro.robustness.harness.run_guarded_stream` — optionally
+fault-injected, optionally guarded, honoring the schedule's per-batch
+``adapt`` flag (``budgeted`` freezing) — and differences the session's
+counters after every batch from the loop's ``on_batch`` hook, so the
+outcome carries one :class:`~repro.scenarios.metrics.SegmentCard` per
+shift phase plus the recurrence forgetting metric, not just a
+whole-stream scorecard.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.streaming import StreamScorecard
-from repro.robustness.faults import FaultInjector, FaultSpec, parse_fault_specs
-from repro.robustness.guard import GuardConfig
+from repro.adapt.guard import GuardConfig
+from repro.adapt.session import StreamScorecard
+from repro.robustness.faults import FaultSpec
+from repro.robustness.harness import run_guarded_stream
 from repro.scenarios.metrics import (
     BatchStats,
     SegmentCard,
@@ -70,53 +71,33 @@ def run_scenario_stream(model, method, stream: ScenarioStream, *,
     ``seed`` seeds the *fault* schedule only — the scenario's own
     randomness is fixed by the stream's schedule seed, so faults can be
     re-rolled without moving the shift sequence.
-
-    ``restore`` is the session teardown policy: ``"on_error"`` (the
-    default, deployment semantics — the model stays adapted on clean
-    exit) or ``"always"`` (episodic evaluation, the study runner's
-    contract).
     """
-    # lazy for the same reason as the robustness harness: repro.serve
-    # imports the guard layer, so a module-level import would cycle
-    from repro.serve.session import AdaptationSession
-
     if num_batches is None:
         num_batches = stream.num_batches(batch_size)
     if num_batches <= 0:
         raise ValueError(f"num_batches must be positive, got {num_batches}")
 
-    injector = None
-    batches = stream.batches(batch_size, num_batches)
-    if faults is not None:
-        specs = parse_fault_specs(faults) if isinstance(faults, str) \
-            else tuple(faults)
-        injector = FaultInjector(specs, seed=seed)
-        batches = injector.inject(batches)
-
     stats: List[BatchStats] = []
-    session = AdaptationSession(model, method, guard=guard, fps=fps,
-                                restore=restore)
-    session.scenario = stream.label
-    with session:
-        for index, (images, labels) in enumerate(batches):
-            plan = stream.plan_for(index)
-            before = _counters(session)
-            session.process_batch(images, labels, adapt=plan.adapt)
-            after = _counters(session)
-            stats.append(BatchStats(
-                index=index,
-                frames=after[0] - before[0],
-                correct=after[1] - before[1],
-                rollbacks=after[2] - before[2],
-                degraded_batches=after[3] - before[3],
-                fallback_frames=after[4] - before[4],
-                adapted=plan.adapt))
-        session.faults_injected = injector.faults_injected if injector else 0
+    totals = [0, 0, 0, 0, 0]    # counters after the previous batch
+
+    def record(index: int, session, adapted: bool) -> None:
+        now = _counters(session)
+        delta = [after - before for after, before in zip(now, totals)]
+        stats.append(BatchStats(
+            index=index, frames=delta[0], correct=delta[1],
+            rollbacks=delta[2], degraded_batches=delta[3],
+            fallback_frames=delta[4], adapted=adapted))
+        totals[:] = now
+
+    card = run_guarded_stream(
+        model, method, stream.batches(batch_size, num_batches),
+        guard=guard, faults=faults, seed=seed, fps=fps, scenario=stream,
+        restore=restore, on_batch=record)
     segments = stream.schedule.segments(num_batches)
     return ScenarioOutcome(
         scenario=stream.label,
         seed=stream.seed,
-        scorecard=session.scorecard(),
+        scorecard=card,
         segments=tuple(segment_cards(segments, stats)))
 
 

@@ -1,6 +1,6 @@
 """Per-phase scorecard segmentation and the recurrence forgetting metric.
 
-A whole-stream :class:`~repro.core.streaming.StreamScorecard` hides the
+A whole-stream :class:`~repro.adapt.session.StreamScorecard` hides the
 thing scenario streams exist to expose: *where* in the shift sequence
 accuracy was lost and whether the guard ladder fired during a switch or
 a dwell.  This module aggregates per-batch observations into one

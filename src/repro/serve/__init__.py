@@ -1,19 +1,19 @@
-"""Serve layer: reusable adaptation sessions and the multi-tenant daemon.
+"""Serve layer: the multi-tenant adaptation daemon and its client.
 
 The paper's deployment story is a model adapting *in production* on an
-edge box; this package is that runtime.  It has two halves:
-
-- :class:`~repro.serve.session.AdaptationSession` — the adaptation
-  lifecycle (prepare, guarded per-batch forward, scoring, teardown,
-  checkpoint/resume) as one reusable object.  The batch-study runner
-  and the robustness harness drive their streams through it, so the
-  daemon serves *exactly* the code path the experiments measure.
-- The daemon stack — :class:`~repro.serve.manager.SessionManager`,
-  :class:`~repro.serve.daemon.ServeDaemon`,
-  :class:`~repro.serve.client.ServeClient` and the wire protocol
-  (:mod:`repro.serve.protocol`) — multi-tenant streaming over TCP with
-  journal-backed crash recovery: kill the daemon, restart with
-  ``--resume``, and every tenant continues bit-identically.
+edge box; this package is that runtime.  Each tenant is one
+:class:`~repro.adapt.session.AdaptationSession` — the same session the
+study runner and the stream drivers use, imported from
+:mod:`repro.adapt` below this layer, so the daemon serves *exactly*
+the code path the experiments measure.  Around it sit
+:class:`~repro.serve.manager.SessionManager`,
+:class:`~repro.serve.daemon.ServeDaemon`,
+:class:`~repro.serve.client.ServeClient` and the wire protocol
+(:mod:`repro.serve.protocol`): multi-tenant streaming over TCP with
+journal-backed crash recovery — kill the daemon, restart with
+``--resume``, and every tenant continues bit-identically.  Importing
+this package loads no study-layer module (:mod:`repro.core`,
+:mod:`repro.data`).
 
 Long-lived operation is hardened and *tested under adversity*:
 :mod:`repro.serve.chaos` provides a seeded TCP chaos proxy (mid-frame
@@ -23,7 +23,7 @@ deadlines, recoverable protocol-error replies, a ``status`` health
 message, graceful drain, idle-tenant eviction, and online journal
 compaction, while the client retries idempotently with seeded backoff.
 
-PR 9 made the stack *fast and measurably so*: the daemon is a
+The stack is *fast and measurably so*: the daemon is a
 ``selectors`` event loop (thousands of connections, no
 thread-per-connection), batches from many tenants coalesce through the
 cross-tenant :class:`~repro.serve.scheduler.BatchScheduler`, and
@@ -61,11 +61,9 @@ from repro.serve.scheduler import (
     BatchTicket,
     SchedulerClosedError,
 )
-from repro.serve.session import AdaptationSession
 
 __all__ = [
     "ARRIVAL_KINDS",
-    "AdaptationSession",
     "AdmissionError",
     "ArrivalSpec",
     "BatchScheduler",

@@ -60,8 +60,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, Optional, Tuple
 
+from repro.adapt.checkpoint import decode_array
 from repro.serve import protocol
-from repro.serve.checkpoint import decode_array
 from repro.serve.manager import AdmissionError, SessionManager, TenantSpec
 
 _log = logging.getLogger("repro.serve")

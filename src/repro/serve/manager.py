@@ -1,7 +1,7 @@
 """Multi-tenant session management for the serve daemon.
 
 A *tenant* is one named adaptation stream: its own model instance, its
-own :class:`~repro.serve.session.AdaptationSession`, its own frame
+own :class:`~repro.adapt.session.AdaptationSession`, its own frame
 queue.  :class:`SessionManager` owns all of them and provides the three
 operations the daemon's connection handlers call:
 
@@ -44,13 +44,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.adapt.session import AdaptationSession
 from repro.engine import create_backend, use_backend
 from repro.models.registry import build_model
 from repro.nn import init as nn_init
 from repro.resilience.journal import RunJournal
 from repro.serve.protocol import scorecard_to_dict
 from repro.serve.scheduler import BatchScheduler, BatchTicket
-from repro.serve.session import AdaptationSession
 
 #: journal event names of the serve layer (the study runners own
 #: run_start/cell_ok/...; serve events are disjoint so one scanner can

@@ -4,7 +4,7 @@ Every message is one JSON object (UTF-8) preceded by a 4-byte
 big-endian byte length.  Length-prefix framing keeps the protocol
 trivially parseable from any language while letting frame tensors ride
 inside messages via the same base64 array encoding the checkpoints use
-(:mod:`repro.serve.checkpoint`) — bit-exact, no separate binary channel.
+(:mod:`repro.adapt.checkpoint`) — bit-exact, no separate binary channel.
 
 Client -> server message types (all carry ``"type"``):
 
@@ -52,7 +52,7 @@ import struct
 from dataclasses import asdict
 from typing import Optional
 
-from repro.core.streaming import StreamScorecard
+from repro.adapt.session import StreamScorecard
 
 #: protocol version a ``hello`` must declare
 PROTOCOL_VERSION = 1

@@ -1,7 +1,10 @@
 """Documentation invariants: the repo's contracts about itself."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import repro
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 def _walk_modules():
@@ -16,6 +20,60 @@ def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         names.append(info.name)
     return names
+
+
+#: walks repro.* and imports each module into an interpreter holding no
+#: other repro module, so every module is imported first at least once;
+#: prints one line per module that fails
+_IMPORT_EACH_FIRST = """
+import importlib, pkgutil, sys
+import repro
+failed = []
+names = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(
+        repro.__path__, prefix="repro.",
+        onerror=lambda name: failed.append(name + ": package walk failed"))]
+for name in names:
+    for key in [key for key in sys.modules if key.split(".")[0] == "repro"]:
+        del sys.modules[key]
+    try:
+        importlib.import_module(name)
+    except Exception as error:
+        failed.append(f"{name}: {type(error).__name__}: {error}")
+for line in failed:
+    print(line)
+"""
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter importing this checkout; stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    return done.stdout
+
+
+class TestImportLayering:
+    """Every import points down the stack: tensor/nn/models -> adapt ->
+    robustness -> scenarios -> core -> serve -> cli."""
+
+    def test_every_module_imports_first(self):
+        assert _run_python(_IMPORT_EACH_FIRST).splitlines() == []
+
+    @pytest.mark.parametrize("module, forbidden", [
+        # the session's closure is what adapt-stream's setup_s measures
+        ("repro.adapt.session", ("repro.core", "repro.serve",
+                                 "repro.scenarios", "repro.robustness",
+                                 "repro.data")),
+        ("repro.serve", ("repro.core", "repro.data")),
+    ])
+    def test_import_closure_stays_below(self, module, forbidden):
+        loaded = _run_python(
+            f"import sys, {module}; print(*sorted(sys.modules))").split()
+        above = [name for name in loaded
+                 if name.startswith(tuple(p + "." for p in forbidden))
+                 or name in forbidden]
+        assert above == [], f"{module} loads {above}"
 
 
 class TestDocFiles:

@@ -6,9 +6,9 @@ import time
 import pytest
 
 from repro.core import io as study_io
+from repro.core.executor import (CellSpec, CellTimeoutError,
+                                 ResilientExecutor)
 from repro.core.records import MeasurementRecord
-from repro.resilience.executor import (CellSpec, CellTimeoutError,
-                                       ResilientExecutor)
 from repro.resilience.journal import RunJournal, scan_journal
 
 

@@ -14,7 +14,7 @@ from repro.robustness.faults import (
     apply_fault,
     parse_fault_specs,
 )
-from repro.robustness.guard import LADDER
+from repro.adapt.guard import LADDER
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from repro.adapt import BNNorm, BNOpt, NoAdapt, bn_layers, build_method
 from repro.adapt.base import AdaptationMethod
 from repro.engine import create_backend, use_backend
 from repro.models import build_model
-from repro.robustness.guard import (
+from repro.adapt.guard import (
     LADDER,
     GuardConfig,
     GuardedAdaptation,

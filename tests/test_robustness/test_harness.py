@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro.adapt import build_method
+from repro.adapt.guard import GuardedAdaptation
 from repro.core import io as study_io
 from repro.core.config import StudyConfig
 from repro.core.records import MeasurementRecord, StudyResult
 from repro.core.runner import run_native_study
 from repro.data.stream import CorruptionStream
-from repro.robustness import GuardedAdaptation, run_guarded_stream
+from repro.robustness import run_guarded_stream
 
 BATCHES = 12
 BATCH_SIZE = 32

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve.checkpoint import (
+from repro.adapt.checkpoint import (
     decode_array,
     decode_model_state,
     decode_state,

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-import repro.serve.session as session_module
+import repro.adapt.session as session_module
 from repro.resilience.journal import scan_journal
 from repro.serve.manager import AdmissionError, SessionManager, TenantSpec
 

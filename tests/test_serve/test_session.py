@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.adapt import build_method
-from repro.robustness.guard import GuardedAdaptation
-from repro.serve.session import AdaptationSession
+from repro.adapt.guard import GuardedAdaptation
+from repro.adapt.session import AdaptationSession
 
 from tests.test_serve.conftest import (
     assert_states_identical,
